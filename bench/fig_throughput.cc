@@ -2,14 +2,19 @@
 // paper figure). Streams tuple waves (InsertTupleWave: one virtual-time
 // epoch, many same-timestamp insertions) through the engine and reports
 // wall-clock events/sec and tuples/sec for worker counts {1,2,4,8} at ring
-// sizes {512, 2048, 10000}, plus a coalescing on/off pair at the middle
-// size. The determinism contract means every cell of the sweep produces
+// sizes {512, 2048, 10000} (scaled by CONTJOIN_SCALE, like the query and
+// wave counts), plus a coalescing on/off pair at the middle size. The
+// determinism contract means every cell of the sweep produces
 // bit-identical protocol traffic — only the wall clock moves. Emits
-// machine-readable BENCH_throughput.json.
+// machine-readable BENCH_throughput.json. Its exact columns (events,
+// per-class hops, notifications) at a small scale are a ctest
+// (tests/event_count_gate.sh), so a change that moves traffic fails the
+// suite.
 //
 // Wall-clock timing is deliberate and confined to bench/: src/ stays free
 // of real-time reads so simulation stays reproducible.
 
+#include <array>
 #include <chrono>
 #include <fstream>
 #include <thread>
@@ -31,8 +36,11 @@ struct RunConfig {
   bool coalesce;
 };
 
+constexpr size_t kClasses = static_cast<size_t>(sim::MsgClass::kClassCount);
+
 struct RunOutcome {
   uint64_t events = 0;
+  std::array<uint64_t, kClasses> hops{};  // Per message class.
   size_t tuples = 0;
   uint64_t parallel_batches = 0;
   size_t notifications = 0;
@@ -56,6 +64,7 @@ RunOutcome RunOne(const RunConfig& rc, size_t num_queries, size_t num_waves,
   Rng placement(rc.num_nodes * 31 + 7);
   const uint64_t events_before = net.simulator()->total_events_run();
   const uint64_t batches_before = net.simulator()->parallel_batches_run();
+  const sim::NetStats stats_before = net.stats();
 
   RunOutcome out;
   auto t0 = std::chrono::steady_clock::now();
@@ -75,10 +84,24 @@ RunOutcome RunOne(const RunConfig& rc, size_t num_queries, size_t num_waves,
 
   out.seconds = std::chrono::duration<double>(t1 - t0).count();
   out.events = net.simulator()->total_events_run() - events_before;
+  const sim::NetStats phase = net.stats().Since(stats_before);
+  for (size_t c = 0; c < kClasses; ++c) {
+    out.hops[c] = phase.hops(static_cast<sim::MsgClass>(c));
+  }
   out.tuples = num_waves * wave_width;
   out.parallel_batches =
       net.simulator()->parallel_batches_run() - batches_before;
   out.notifications = driver.DrainNotifications();
+  return out;
+}
+
+/// Per-class hop counts in MsgClass order, '/'-separated.
+std::string HopsColumn(const RunOutcome& o) {
+  std::string out;
+  for (size_t c = 0; c < kClasses; ++c) {
+    if (c > 0) out += "/";
+    out += std::to_string(o.hops[c]);
+  }
   return out;
 }
 
@@ -106,14 +129,16 @@ int main() {
   bench::PrintFigure(
       "T-P (infrastructure)",
       "Simulator-core throughput vs worker threads and ring size "
-      "(per-destination coalescing pair at N=2048)",
+      "(per-destination coalescing pair at the middle ring size)",
       "events/sec rises with the worker count while every cell stays "
       "bit-identical in protocol traffic; coalescing removes per-message "
       "transmit events and lifts tuples/sec further");
 
   const size_t kQueries = bench::Scaled(300);
   const size_t kWaves = bench::Scaled(8);
-  const std::vector<size_t> kRings = {512, 2048, 10000};
+  const std::vector<size_t> kRings = {bench::Scaled(512, 32),
+                                      bench::Scaled(2048, 32),
+                                      bench::Scaled(10000, 32)};
   const std::vector<int> kThreads = {1, 2, 4, 8};
 
   bench::PrintEffective(0, kQueries, 0);
@@ -124,7 +149,8 @@ int main() {
   std::vector<std::string> records;
   bench::PrintRow(
       "nodes\tthreads\tcoalesce\ttuples\tevents\tparallel_batches\t"
-      "seconds\tevents_per_sec\ttuples_per_sec\tnotifications");
+      "seconds\tevents_per_sec\ttuples_per_sec\tnotifications\t"
+      "hops_by_class");
 
   auto run_and_report = [&](const RunConfig& rc) {
     // Wide waves keep each virtual-time epoch's batch large enough for the
@@ -141,7 +167,8 @@ int main() {
                     bench::Fmt(o.seconds) + "\t" +
                     bench::Fmt(o.EventsPerSec()) + "\t" +
                     bench::Fmt(o.TuplesPerSec()) + "\t" +
-                    std::to_string(o.notifications));
+                    std::to_string(o.notifications) + "\t" +
+                    HopsColumn(o));
     records.push_back(JsonRecord(rc, o));
   };
 
@@ -152,7 +179,7 @@ int main() {
   }
   // Coalescing pair: same workload, batched transmissions.
   for (int t : {1, 8}) {
-    run_and_report(RunConfig{2048, t, /*coalesce=*/true});
+    run_and_report(RunConfig{kRings[1], t, /*coalesce=*/true});
   }
 
   std::ofstream json("BENCH_throughput.json");

@@ -40,6 +40,7 @@ Node* Network::CreateNode(const std::string& key) {
   Node* raw = node.get();
   auto [it, inserted] = by_id_.emplace(raw->id(), raw);
   CJ_CHECK(inserted) << "identifier collision for key '" << key << "'";
+  id_index_.emplace(raw->id(), raw);
   nodes_.push_back(std::move(node));
   return raw;
 }
@@ -95,9 +96,18 @@ void Network::WireIdeal(const std::vector<Node*>& sorted) {
     if (list.empty()) list.push_back(node);  // Singleton ring.
     node->SetSuccessorListDirect(std::move(list));
     node->SetPredecessorDirect(sorted[(i + n - 1) % n]);
+    // Finger j is the first node at clockwise distance >= 2^j, so it stays
+    // the previous finger until 2^j passes that finger's distance: only
+    // ~log2(n) of the 160 fingers need a search.
+    Node* finger = nullptr;
+    Uint160 finger_dist;
     for (int j = 0; j < Uint160::kBits; ++j) {
-      node->SetFingerDirect(j,
-                            successor_of(node->id() + Uint160::PowerOfTwo(j)));
+      const Uint160 step = Uint160::PowerOfTwo(j);
+      if (finger == nullptr || finger_dist < step) {
+        finger = successor_of(node->id() + step);
+        finger_dist = finger->id() - node->id();
+      }
+      node->SetFingerDirect(j, finger);
     }
   }
 }
@@ -221,68 +231,35 @@ void Network::CloseCoalescingBuffers() {
       open_buffers.end());
 }
 
-void Network::Transmit(Node* from, Node* to, sim::MsgClass cls,
-                       std::function<void()> action) {
+Network::Fate Network::Admit(Node* from, Node* to, sim::MsgClass cls) {
   stats_.AddHop(cls);
   if (to == nullptr || !to->alive()) {
     stats_.AddDrop(cls);
-    return;
+    return Fate{};
   }
-  sim::SimTime latency = options_.hop_latency;
+  Fate fate;
+  fate.deliver = true;
+  fate.latency = options_.hop_latency;
   if (fault_plan_ != nullptr) {
     // Keyed per sender: the destination-shard execution model guarantees
     // only `from`'s shard advances its counter, so the decision stream a
     // sender sees is identical at any worker count.
-    faults::FaultDecision fate =
+    faults::FaultDecision decision =
         from != nullptr ? fault_plan_->Decide(cls, from->serial() + 1,
                                               from->NextFaultSeq())
                         : fault_plan_->Decide(cls);
-    if (fate.drop) {
+    if (decision.drop) {
       stats_.AddDrop(cls);
-      return;
+      return Fate{};
     }
-    latency += fate.extra_delay;
-    for (int i = 0; i < fate.duplicates; ++i) {
-      // The duplicate is real traffic: one more hop, delivered at the same
-      // time as the original (delivery still re-checks liveness).
-      stats_.AddHop(cls);
-      simulator_->ScheduleSharded(latency, to->serial(),
-                                  [this, to, cls, action]() {
-                                    if (!to->alive()) {
-                                      stats_.AddDrop(cls);
-                                      return;
-                                    }
-                                    action();
-                                  });
-    }
-    if (fate.extra_delay > 0) {
-      // Delayed messages ride alone so the perturbed latency stays visible
-      // per message.
-      simulator_->ScheduleSharded(latency, to->serial(),
-                                  [this, to, cls,
-                                   action = std::move(action)]() {
-                                    if (!to->alive()) {
-                                      stats_.AddDrop(cls);
-                                      return;
-                                    }
-                                    action();
-                                  });
-      return;
+    fate.latency += decision.extra_delay;
+    fate.delayed = decision.extra_delay > 0;
+    fate.duplicates = decision.duplicates;
+    if (fate.duplicates > 0) {
+      stats_.AddHops(cls, static_cast<uint64_t>(fate.duplicates));
     }
   }
-  if (options_.coalesce && simulator_->InExecution()) {
-    AppendCoalesced(to, cls, latency, std::move(action));
-    return;
-  }
-  simulator_->ScheduleSharded(latency, to->serial(),
-                              [this, to, cls,
-                               action = std::move(action)]() {
-                                if (!to->alive()) {
-                                  stats_.AddDrop(cls);
-                                  return;
-                                }
-                                action();
-                              });
+  return fate;
 }
 
 }  // namespace contjoin::chord

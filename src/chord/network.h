@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chord/node.h"
@@ -34,8 +35,10 @@ struct NetworkOptions {
   /// Virtual-time latency of one overlay hop. Zero gives deterministic
   /// cascades (an insertion's consequences complete before the next event).
   sim::SimTime hop_latency = 0;
-  /// Hop budget per routed message; exceeded messages are dropped and
-  /// counted (only reachable in inconsistent transitional rings).
+  /// Hop budget per routed message, and per stretch of a multisend batch
+  /// between two nodes that deliver part of it; exceeded messages are
+  /// dropped and counted (only reachable in inconsistent transitional
+  /// rings).
   int max_route_hops = 512;
   /// Sender-side per-destination aggregation (Grappa-style): transmissions
   /// a handler issues to the same destination, class and latency ride one
@@ -84,13 +87,14 @@ class Network {
   /// i.e. Successor(id). nullptr if no node is alive.
   Node* OracleSuccessor(const NodeId& id) const;
 
-  /// Exact-identifier lookup over every node ever created (dead included).
-  /// Read-only over a map that only grows at serial time, so event
-  /// handlers on any shard may call it (the reliability layer routes acks
-  /// to origins by identifier through here).
+  /// Exact-identifier lookup over every node ever created (dead included),
+  /// in O(1): every hop resolves its destination through here. Read-only
+  /// over an index that only grows at serial time, so event handlers on
+  /// any shard may call it (the reliability layer routes acks to origins
+  /// by identifier through here).
   Node* FindById(const NodeId& id) const {
-    auto it = by_id_.find(id);
-    return it == by_id_.end() ? nullptr : it->second;
+    auto it = id_index_.find(id);
+    return it == id_index_.end() ? nullptr : it->second;
   }
 
   std::vector<Node*> AliveNodes() const;
@@ -119,12 +123,15 @@ class Network {
   // --- Transport (used by Node) -----------------------------------------------
 
   /// One overlay hop from `from` to `to`: counts a hop of class `cls` and
-  /// schedules `action` after the hop latency. Messages to dead nodes are
-  /// dropped and counted. This closure path remains for simulator-only
-  /// interactions (DHT fetch replies, migration state transfers, engine
-  /// result sinks); protocol hops travel as typed frames via TransmitHop.
-  void Transmit(Node* from, Node* to, sim::MsgClass cls,
-                std::function<void()> action);
+  /// schedules `deliver` (any copyable callable) to run at `to` after the
+  /// hop latency, as exactly one simulator event. Messages to dead nodes
+  /// are dropped and counted; the fault plan's drops, duplicates and
+  /// delays and sender-side coalescing all apply here. Protocol hops reach
+  /// this through SimTransport as typed frames (see TransmitHop); callers
+  /// passing their own closure are the simulator-only interactions (DHT
+  /// fetch replies, migration state transfers, engine result sinks).
+  template <typename Deliver>
+  void Transmit(Node* from, Node* to, sim::MsgClass cls, Deliver deliver);
 
   /// Ships one typed overlay hop to the node with identifier `to` through
   /// the installed transport (the one true send path for protocol
@@ -176,7 +183,25 @@ class Network {
   }
 
  private:
+  // What becomes of one transmission once it has been counted.
+  struct Fate {
+    bool deliver = false;
+    sim::SimTime latency = 0;
+    int duplicates = 0;
+    bool delayed = false;  // The fault plan stretched the latency.
+  };
+
   void WireIdeal(const std::vector<Node*>& sorted);
+
+  /// Counts the hop (and any duplicate's), drops it on a dead or unknown
+  /// destination, and draws the sender's next fault decision.
+  Fate Admit(Node* from, Node* to, sim::MsgClass cls);
+
+  /// Schedules the delivery event: `deliver` runs on `to`'s shard unless
+  /// `to` died in flight, which counts a drop instead.
+  template <typename Deliver>
+  void ScheduleDelivery(Node* to, sim::MsgClass cls, sim::SimTime latency,
+                        Deliver deliver);
 
   /// Appends `action` to the calling thread's open buffer for (to, cls,
   /// latency), opening the buffer (and scheduling its single flush event)
@@ -194,12 +219,48 @@ class Network {
   sim::NetStats stats_;
   faults::FaultPlan* fault_plan_ = nullptr;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::map<NodeId, Node*> by_id_;  // All nodes ever created, dead included.
+  // All nodes ever created, dead included: ordered for OracleSuccessor's
+  // clockwise scan, hashed for FindById.
+  std::map<NodeId, Node*> by_id_;
+  std::unordered_map<NodeId, Node*> id_index_;
   size_t alive_count_ = 0;
   uint64_t next_ip_ = 1;
   uint64_t next_key_serial_ = 0;
   std::atomic<uint64_t> coalesced_messages_{0};
 };
+
+template <typename Deliver>
+void Network::Transmit(Node* from, Node* to, sim::MsgClass cls,
+                       Deliver deliver) {
+  const Fate fate = Admit(from, to, cls);
+  if (!fate.deliver) return;
+  for (int i = 0; i < fate.duplicates; ++i) {
+    // The duplicate is real traffic (Admit counted its hop), delivered at
+    // the same time as the original.
+    ScheduleDelivery(to, cls, fate.latency, deliver);
+  }
+  // Delayed messages ride alone so the perturbed latency stays visible per
+  // message.
+  if (!fate.delayed && options_.coalesce && simulator_->InExecution()) {
+    AppendCoalesced(to, cls, fate.latency, std::move(deliver));
+    return;
+  }
+  ScheduleDelivery(to, cls, fate.latency, std::move(deliver));
+}
+
+template <typename Deliver>
+void Network::ScheduleDelivery(Node* to, sim::MsgClass cls,
+                               sim::SimTime latency, Deliver deliver) {
+  simulator_->ScheduleSharded(
+      latency, to->serial(),
+      [this, to, cls, deliver = std::move(deliver)]() mutable {
+        if (!to->alive()) {
+          stats_.AddDrop(cls);
+          return;
+        }
+        deliver();
+      });
+}
 
 }  // namespace contjoin::chord
 

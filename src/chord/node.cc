@@ -213,6 +213,7 @@ Node* Node::FindSuccessor(const NodeId& target, sim::MsgClass cls) {
   return nullptr;
 }
 
+// contjoin-check: hot
 Node* Node::ClosestPrecedingFinger(const NodeId& target) {
   for (int i = Uint160::kBits - 1; i >= 0; --i) {
     Node* f = fingers_[static_cast<size_t>(i)];
@@ -236,6 +237,7 @@ Node* Node::ClosestPrecedingFinger(const NodeId& target) {
   return best;
 }
 
+// contjoin-check: hot
 Node* Node::NextHopFor(const NodeId& target) {
   Node* succ = successor();
   if (succ == nullptr) return nullptr;
@@ -296,6 +298,12 @@ void Node::HandleBatch(std::vector<AppMessage> batch, sim::MsgClass cls,
     }
   }
   if (remaining.empty()) return;
+  // The budget bounds hops without progress, not the batch's whole walk:
+  // a node that consumed part of it restarts the count, so a batch makes
+  // at most (messages + 1) * max_route_hops hops in all.
+  if (remaining.size() < batch.size()) {
+    ttl = network_->options().max_route_hops;
+  }
   if (ttl <= 0) {
     network_->CountDrop(cls);
     return;

@@ -1,6 +1,9 @@
 #include "common/uint160.h"
 
 #include <cctype>
+#include <functional>
+#include <string>
+#include <vector>
 
 namespace contjoin {
 
@@ -77,35 +80,6 @@ Uint160 Uint160::operator+(const Uint160& other) const {
   return out;  // Carry out of the top word wraps (mod 2^160).
 }
 
-Uint160 Uint160::operator-(const Uint160& other) const {
-  Uint160 out;
-  int64_t borrow = 0;
-  for (int i = 4; i >= 0; --i) {
-    int64_t diff = static_cast<int64_t>(words_[static_cast<size_t>(i)]) -
-                   other.words_[static_cast<size_t>(i)] - borrow;
-    borrow = diff < 0 ? 1 : 0;
-    if (diff < 0) diff += (int64_t{1} << 32);
-    out.words_[static_cast<size_t>(i)] = static_cast<uint32_t>(diff);
-  }
-  return out;  // Borrow out of the top word wraps (mod 2^160).
-}
-
-bool Uint160::InOpenClosed(const Uint160& a, const Uint160& b) const {
-  if (a == b) return true;  // Full circle.
-  // Clockwise distances from a: x is in (a, b] iff 0 < dist(a,x) <=
-  // dist(a,b).
-  Uint160 dx = *this - a;
-  Uint160 db = b - a;
-  return dx > Uint160() && dx <= db;
-}
-
-bool Uint160::InOpenOpen(const Uint160& a, const Uint160& b) const {
-  if (a == b) return *this != a;  // Full circle minus the endpoint.
-  Uint160 dx = *this - a;
-  Uint160 db = b - a;
-  return dx > Uint160() && dx < db;
-}
-
 std::string Uint160::ToHex() const {
   static const char kHex[] = "0123456789abcdef";
   std::string out;
@@ -134,7 +108,23 @@ size_t Uint160::HashValue() const {
 }
 
 Uint160 HashKey(std::string_view key) {
-  return Uint160::FromDigest(Sha1::Hash(key));
+  // Attribute and value keys repeat across tuples, so each thread keeps a
+  // direct-mapped memo of recently hashed keys. SHA-1 is a pure function:
+  // a hit returns exactly what hashing would, whatever the thread's
+  // history, and a per-thread table needs no lock.
+  struct Slot {
+    std::string key;
+    Uint160 id;
+    bool used = false;
+  };
+  static constexpr size_t kSlots = 4096;  // Power of two: index by mask.
+  thread_local std::vector<Slot> memo(kSlots);
+  Slot& slot = memo[std::hash<std::string_view>{}(key) & (kSlots - 1)];
+  if (slot.used && slot.key == key) return slot.id;
+  slot.key.assign(key);
+  slot.id = Uint160::FromDigest(Sha1::Hash(key));
+  slot.used = true;
+  return slot.id;
 }
 
 }  // namespace contjoin

@@ -45,15 +45,17 @@ class Uint160 {
 
   /// Addition modulo 2^160.
   Uint160 operator+(const Uint160& other) const;
-  /// Subtraction modulo 2^160.
+  /// Subtraction modulo 2^160. Inline (with the interval predicates and the
+  /// comparison) because routing evaluates it for every finger it scans.
   Uint160 operator-(const Uint160& other) const;
 
   Uint160& operator+=(const Uint160& other) { return *this = *this + other; }
   Uint160& operator-=(const Uint160& other) { return *this = *this - other; }
 
   bool operator==(const Uint160& other) const = default;
+  // contjoin-check: hot
   std::strong_ordering operator<=>(const Uint160& other) const {
-    for (int i = 0; i < 5; ++i) {
+    for (size_t i = 0; i < 5; ++i) {
       if (words_[i] != other.words_[i]) {
         return words_[i] < other.words_[i] ? std::strong_ordering::less
                                            : std::strong_ordering::greater;
@@ -96,8 +98,42 @@ class Uint160 {
   size_t HashValue() const;
 
  private:
+  bool IsZero() const {
+    return (words_[0] | words_[1] | words_[2] | words_[3] | words_[4]) == 0;
+  }
+
   std::array<uint32_t, 5> words_;
 };
+
+// contjoin-check: hot
+inline Uint160 Uint160::operator-(const Uint160& other) const {
+  Uint160 out;
+  uint64_t borrow = 0;
+  for (size_t i = 5; i-- > 0;) {
+    // A negative difference wraps to >= 2^63, so its top bit is the borrow.
+    const uint64_t diff =
+        static_cast<uint64_t>(words_[i]) - other.words_[i] - borrow;
+    out.words_[i] = static_cast<uint32_t>(diff);
+    borrow = diff >> 63;
+  }
+  return out;  // Borrow out of the top word wraps (mod 2^160).
+}
+
+// contjoin-check: hot
+inline bool Uint160::InOpenClosed(const Uint160& a, const Uint160& b) const {
+  if (a == b) return true;  // Full circle.
+  // Clockwise distances from a: x is in (a, b] iff 0 < dist(a,x) <=
+  // dist(a,b).
+  const Uint160 dx = *this - a;
+  return !dx.IsZero() && dx <= b - a;
+}
+
+// contjoin-check: hot
+inline bool Uint160::InOpenOpen(const Uint160& a, const Uint160& b) const {
+  if (a == b) return *this != a;  // Full circle minus the endpoint.
+  const Uint160 dx = *this - a;
+  return !dx.IsZero() && dx < b - a;
+}
 
 /// Hashes an application key string onto the identifier circle with SHA-1
 /// (paper §2.2: id(i) = Hash(Key(i))).

@@ -5,17 +5,20 @@
 namespace contjoin::wire {
 
 void Writer::U16(uint16_t v) {
+  if (Counted(2)) return;
   out_.push_back(static_cast<uint8_t>(v & 0xff));
   out_.push_back(static_cast<uint8_t>(v >> 8));
 }
 
 void Writer::U32(uint32_t v) {
+  if (Counted(4)) return;
   for (int i = 0; i < 4; ++i) {
     out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
   }
 }
 
 void Writer::U64(uint64_t v) {
+  if (Counted(8)) return;
   for (int i = 0; i < 8; ++i) {
     out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
   }
@@ -30,10 +33,12 @@ void Writer::F64(double v) {
 
 void Writer::Str(std::string_view v) {
   U32(static_cast<uint32_t>(v.size()));
+  if (Counted(v.size())) return;
   out_.insert(out_.end(), v.begin(), v.end());
 }
 
 void Writer::Id(const Uint160& v) {
+  if (Counted(20)) return;
   for (int w = 0; w < 5; ++w) {
     uint32_t word = v.word(w);
     out_.push_back(static_cast<uint8_t>(word >> 24));
@@ -44,6 +49,7 @@ void Writer::Id(const Uint160& v) {
 }
 
 void Writer::PatchU32(size_t offset, uint32_t v) {
+  if (counting_) return;
   for (int i = 0; i < 4; ++i) {
     out_[offset + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
   }

@@ -21,10 +21,19 @@
 
 namespace contjoin::wire {
 
-/// Appends fields to a byte buffer.
+/// Appends fields to a byte buffer. A counting writer stores nothing and
+/// only advances size(), so the encode functions that build a message also
+/// measure it, with no buffer and no second copy of the field layout.
 class Writer {
  public:
-  void U8(uint8_t v) { out_.push_back(v); }
+  enum class Mode { kBytes, kCount };
+
+  Writer() = default;
+  explicit Writer(Mode mode) : counting_(mode == Mode::kCount) {}
+
+  void U8(uint8_t v) {
+    if (!Counted(1)) out_.push_back(v);
+  }
   void U16(uint16_t v);
   void U32(uint32_t v);
   void U64(uint64_t v);
@@ -37,18 +46,35 @@ class Writer {
   /// 20 raw bytes, most-significant first.
   void Id(const Uint160& v);
 
+  /// The bytes written (always empty for a counting writer).
   const std::vector<uint8_t>& bytes() const { return out_; }
   std::vector<uint8_t> Take() { return std::move(out_); }
-  size_t size() const { return out_.size(); }
+  size_t size() const { return counting_ ? counted_ : out_.size(); }
 
   /// Overwrites 4 bytes at `offset` with `v` (length back-patching).
   void PatchU32(size_t offset, uint32_t v);
 
   /// Discards everything written after byte `size` (encode rollback).
-  void Truncate(size_t size) { out_.resize(size); }
+  void Truncate(size_t size) {
+    if (counting_) {
+      counted_ = size;
+    } else {
+      out_.resize(size);
+    }
+  }
 
  private:
+  /// In counting mode, accounts `n` bytes and returns true (the caller
+  /// then stores nothing).
+  bool Counted(size_t n) {
+    if (!counting_) return false;
+    counted_ += n;
+    return true;
+  }
+
   std::vector<uint8_t> out_;
+  bool counting_ = false;
+  size_t counted_ = 0;
 };
 
 /// Consumes fields from a byte buffer. Every accessor checks bounds; after

@@ -774,9 +774,11 @@ bool DecodeAppMessage(wire::Reader& r, const rel::Catalog& catalog,
   return false;
 }
 
+namespace {
+
+// The frame layout, shared by encoding and metering.
 // contjoin-check: hot
-std::vector<uint8_t> EncodeHopFrame(const chord::HopFrame& frame) {
-  wire::Writer w;
+bool WriteHopFrame(const chord::HopFrame& frame, wire::Writer& w) {
   w.U8(kFrameVersion);
   w.U8(static_cast<uint8_t>(frame.kind));
   w.U8(static_cast<uint8_t>(frame.cls));
@@ -784,14 +786,23 @@ std::vector<uint8_t> EncodeHopFrame(const chord::HopFrame& frame) {
   if (frame.kind == chord::HopFrame::Kind::kBroadcast) {
     const auto* p =
         dynamic_cast<const CqPayload*>(frame.broadcast_payload.get());
-    if (p == nullptr || !PayloadCodec::Default().Encode(*p, w)) return {};
+    if (p == nullptr || !PayloadCodec::Default().Encode(*p, w)) return false;
     w.Id(frame.broadcast_limit);
   } else {
     w.U32(static_cast<uint32_t>(frame.msgs.size()));
     for (const chord::AppMessage& msg : frame.msgs) {
-      if (!EncodeAppMessage(msg, w)) return {};
+      if (!EncodeAppMessage(msg, w)) return false;
     }
   }
+  return true;
+}
+
+}  // namespace
+
+// contjoin-check: hot
+std::vector<uint8_t> EncodeHopFrame(const chord::HopFrame& frame) {
+  wire::Writer w;
+  if (!WriteHopFrame(frame, w)) return {};
   return w.Take();
 }
 
@@ -827,8 +838,10 @@ bool DecodeHopFrame(const uint8_t* data, size_t size,
   return r.AtEnd();
 }
 
+// contjoin-check: hot
 size_t EncodedFrameSize(const chord::HopFrame& frame) {
-  return EncodeHopFrame(frame).size();
+  wire::Writer counter(wire::Writer::Mode::kCount);
+  return WriteHopFrame(frame, counter) ? counter.size() : 0;
 }
 
 }  // namespace contjoin::core

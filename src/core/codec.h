@@ -87,7 +87,8 @@ bool DecodeHopFrame(const uint8_t* data, size_t size,
 
 /// Encoded size of `frame` in bytes, or 0 if it is unencodable — the
 /// bytes-on-wire meter installed by the engine (Options::count_wire_bytes)
-/// feeds sim::NetStats::AddBytes with this.
+/// feeds sim::NetStats::AddBytes with this. Runs EncodeHopFrame's encoder
+/// over a counting writer, so no buffer is built.
 size_t EncodedFrameSize(const chord::HopFrame& frame);
 
 }  // namespace contjoin::core

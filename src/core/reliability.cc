@@ -10,8 +10,7 @@ namespace contjoin::core {
 namespace reliability {
 namespace {
 
-void OnTimeout(ProtocolContext& ctx, chord::Node& node, uint64_t id,
-               int attempt);
+void OnTimeout(ProtocolContext& ctx, chord::Node& node, uint64_t id);
 
 void ScheduleRetry(ProtocolContext& ctx, chord::Node& node, uint64_t id,
                    int attempt, sim::CancelToken cancel) {
@@ -23,8 +22,8 @@ void ScheduleRetry(ProtocolContext& ctx, chord::Node& node, uint64_t id,
                          << shift;
   ctx.ScheduleAfterCancellable(
       node, timeout, std::move(cancel),
-      [ctx_ptr = &ctx, node_ptr = &node, id, attempt]() {
-        OnTimeout(*ctx_ptr, *node_ptr, id, attempt);
+      [ctx_ptr = &ctx, node_ptr = &node, id]() {
+        OnTimeout(*ctx_ptr, *node_ptr, id);
       });
 }
 
@@ -43,8 +42,7 @@ sim::SimTime SeenRetireHorizon(const ProtocolContext& ctx) {
   return horizon;
 }
 
-void OnTimeout(ProtocolContext& ctx, chord::Node& node, uint64_t id,
-               int attempt) {
+void OnTimeout(ProtocolContext& ctx, chord::Node& node, uint64_t id) {
   NodeState& ns = ctx.StateOf(node);
   auto it = ns.reliability.pending.find(id);
   if (it == ns.reliability.pending.end()) return;  // Acked meanwhile.

@@ -27,20 +27,42 @@ void Simulator::ScheduleShardedAt(SimTime when, uint64_t shard, Action action,
                          << now_;
   ExecContext& ctx = exec_context_;
   if (ctx.sim == this && ctx.children != nullptr) {
-    ctx.children->push_back(
-        PendingChild{when, shard, std::move(action), std::move(cancel)});
+    ctx.children->push_back(PendingChild{
+        when, Event{shard, std::move(action), std::move(cancel)}});
     return;
   }
-  queue_.push(
-      Event{when, next_seq_++, shard, std::move(action), std::move(cancel)});
+  Push(when, Event{shard, std::move(action), std::move(cancel)});
+}
+
+// contjoin-check: hot
+void Simulator::Push(SimTime when, Event event) {
+  auto [it, inserted] = queue_.try_emplace(when);
+  if (inserted) it->second.events.swap(spare_);
+  it->second.events.push_back(std::move(event));
+  ++pending_;
 }
 
 bool Simulator::InExecution() const { return exec_context_.sim == this; }
 
+namespace {
+
+bool IsCancelled(const CancelToken& cancel) {
+  return cancel != nullptr && cancel->load(std::memory_order_acquire);
+}
+
+}  // namespace
+
 void Simulator::DiscardCancelled() {
-  while (!queue_.empty() && queue_.top().cancel != nullptr &&
-         queue_.top().cancel->load(std::memory_order_acquire)) {
-    queue_.pop();
+  while (!queue_.empty()) {
+    Bucket& front = queue_.begin()->second;
+    while (front.head < front.events.size() &&
+           IsCancelled(front.events[front.head].cancel)) {
+      front.events[front.head] = Event{};  // Release the closure now.
+      ++front.head;
+      --pending_;
+    }
+    if (front.head < front.events.size()) return;
+    queue_.erase(queue_.begin());
   }
 }
 
@@ -58,7 +80,7 @@ size_t Simulator::RunUntil(SimTime until) {
   size_t ran = 0;
   for (;;) {
     DiscardCancelled();
-    if (queue_.empty() || queue_.top().when > until) break;
+    if (queue_.empty() || queue_.begin()->first > until) break;
     ran += RunBatch();
   }
   if (now_ < until) now_ = until;
@@ -67,25 +89,30 @@ size_t Simulator::RunUntil(SimTime until) {
 
 // contjoin-check: hot
 size_t Simulator::RunBatch() {
-  const SimTime t = queue_.top().when;
-  now_ = t;
+  // The batch is the whole front bucket, taken before any of it runs:
+  // children a handler schedules for this same timestamp open a fresh
+  // bucket and form the next epoch.
+  auto front = queue_.begin();
+  now_ = front->first;
+  const size_t head = front->second.head;
+  pending_ -= front->second.events.size() - head;
   batch_.clear();
-  bool all_sharded = true;
-  while (!queue_.empty() && queue_.top().when == t) {
-    // A cancelled event further down the same timestamp cohort: drop it
-    // here (the clock is already at t because of a live sibling).
-    if (queue_.top().cancel != nullptr &&
-        queue_.top().cancel->load(std::memory_order_acquire)) {
-      queue_.pop();
-      continue;
-    }
-    // Moving out of a priority_queue top requires a const_cast; the element
-    // is popped immediately after.
-    batch_.push_back(std::move(const_cast<Event&>(queue_.top())));
-    queue_.pop();
-    if (batch_.back().shard == kNoShard) all_sharded = false;
+  batch_.swap(front->second.events);
+  if (front->second.events.capacity() > spare_.capacity()) {
+    spare_.swap(front->second.events);  // The last batch's storage, empty.
   }
-  const size_t n = batch_.size();
+  queue_.erase(front);
+  // Drop the discarded head and any cancelled event further down the
+  // cohort (the clock is already at now_ because of a live sibling).
+  bool all_sharded = true;
+  size_t n = 0;
+  for (size_t i = head; i < batch_.size(); ++i) {
+    if (IsCancelled(batch_[i].cancel)) continue;
+    if (batch_[i].shard == kNoShard) all_sharded = false;
+    if (n != i) batch_[n] = std::move(batch_[i]);
+    ++n;
+  }
+  batch_.erase(batch_.begin() + static_cast<std::ptrdiff_t>(n), batch_.end());
   if (workers_ > 1 && all_sharded && n >= kMinParallelBatch) {
     ExecuteParallel();
   } else {
@@ -159,8 +186,7 @@ void Simulator::ExecuteParallel() {
   // serial path would have assigned.
   for (size_t i = 0; i < n; ++i) {
     for (PendingChild& child : child_bufs_[i]) {
-      queue_.push(Event{child.when, next_seq_++, child.shard,
-                        std::move(child.action), std::move(child.cancel)});
+      Push(child.when, std::move(child.event));
     }
     child_bufs_[i].clear();
   }

@@ -1,11 +1,12 @@
 // Discrete-event simulator: a virtual clock plus a deterministic FIFO event
-// queue. All overlay traffic, stabilization timers and tuple/query arrivals
-// are events. The core executes events in virtual-time epochs: every event
-// at the current minimum timestamp forms one batch; a batch whose events all
-// carry a destination shard may be fanned across a worker pool, and the
-// events each handler schedules are merged back into the queue in a
-// canonical order, so the same seed yields bit-identical traffic, metrics
-// and notification sets at any thread count.
+// queue, kept as one FIFO bucket per pending timestamp. All overlay
+// traffic, stabilization timers and tuple/query arrivals are events. The
+// core executes events in virtual-time epochs: every event at the current
+// minimum timestamp (the front bucket) forms one batch; a batch whose
+// events all carry a destination shard may be fanned across a worker pool,
+// and the events each handler schedules are merged back into the queue in
+// a canonical order, so the same seed yields bit-identical traffic,
+// metrics and notification sets at any thread count.
 
 #ifndef CONTJOIN_SIM_SIMULATOR_H_
 #define CONTJOIN_SIM_SIMULATOR_H_
@@ -14,9 +15,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -139,30 +140,31 @@ class Simulator {
   /// simulator.
   bool InExecution() const;
 
-  size_t pending_events() const { return queue_.size(); }
+  /// Events scheduled and not yet run or discarded (cancelled events
+  /// count until the queue head reaches them).
+  size_t pending_events() const { return pending_; }
   uint64_t total_events_run() const { return events_run_; }
   uint64_t parallel_batches_run() const { return parallel_batches_run_; }
 
  private:
+  // An event's timestamp is its bucket's key and its sequence number is its
+  // position in the bucket: both are implied, so neither is stored.
   struct Event {
-    SimTime when;
-    uint64_t seq;  // FIFO tiebreak within a timestamp.
     uint64_t shard;
     Action action;
     CancelToken cancel;  // Null for the (common) non-cancellable case.
   };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
+  // Every pending event of one timestamp, in scheduling order. Seq is the
+  // order of pushes, so appending keeps a bucket (when, seq)-sorted;
+  // `head` skips cancelled events discarded off the queue front.
+  struct Bucket {
+    std::vector<Event> events;
+    size_t head = 0;
   };
   // An event scheduled by a handler mid-epoch, before it has a seq.
   struct PendingChild {
     SimTime when;
-    uint64_t shard;
-    Action action;
-    CancelToken cancel;
+    Event event;
   };
   // Installed in thread-local storage around every handler invocation;
   // `children` is null on the serial path (children push straight into the
@@ -179,6 +181,9 @@ class Simulator {
 
   void ScheduleShardedAt(SimTime when, uint64_t shard, Action action,
                          CancelToken cancel);
+  /// Appends `event` to the bucket of `when`: this is where an event gets
+  /// its sequence number.
+  void Push(SimTime when, Event event);
   /// Pops cancelled events off the queue head without running them or
   /// moving the clock. Called between epochs, on the coordinating thread.
   void DiscardCancelled();
@@ -194,10 +199,13 @@ class Simulator {
   static thread_local ExecContext exec_context_;
 
   SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
   uint64_t events_run_ = 0;
   uint64_t parallel_batches_run_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  std::map<SimTime, Bucket> queue_;
+  size_t pending_ = 0;
+  // Empty storage of a consumed batch, handed to the next new bucket so
+  // that buckets do not regrow from nothing every epoch (peak RSS).
+  std::vector<Event> spare_;
   std::function<void()> post_action_hook_;
 
   // Epoch scratch state, owned by the coordinating thread; workers read it

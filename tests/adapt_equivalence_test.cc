@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -27,8 +28,15 @@ constexpr size_t kNumNodes = 24;
 constexpr size_t kHotOps = 64;
 constexpr size_t kSparseOps = 80;
 
+// gtest names each case after a byte dump of its parameter, so the
+// struct carries explicit zero fill instead of padding: indeterminate
+// padding bytes would give a case a different name on every listing.
 struct AdaptScenario {
+  AdaptScenario(Algorithm algorithm, double drop_prob)
+      : algorithm(algorithm), drop_prob(drop_prob) {}
+
   Algorithm algorithm;
+  uint8_t fill[7] = {};
   double drop_prob;
 
   std::string Name() const {
@@ -40,6 +48,8 @@ struct AdaptScenario {
     return out;
   }
 };
+static_assert(sizeof(AdaptScenario) == 16,
+              "AdaptScenario must have no padding");
 
 /// Aggressive control-loop knobs so a ~150-operation workload exercises
 /// escalation, re-escalation, and cooldown; production defaults react far

@@ -161,5 +161,32 @@ TEST_F(MultisendTest, MultisendCostScalesWithBatchNotNaively) {
   EXPECT_LT(batched, separate);
 }
 
+TEST_F(MultisendTest, LongBatchWalkKeepsItsHopBudgetWhileDelivering) {
+  // 700 targets, one per distinct node: the batch visits every one of
+  // them, so its whole walk is longer than max_route_hops (512). The
+  // budget bounds hops without progress, so nothing may be dropped.
+  Build(1024);
+  std::vector<AppMessage> batch;
+  std::map<std::string, Node*> expected;
+  for (int i = 0; i < 700; ++i) {
+    Node* owner = nodes_[static_cast<size_t>(i) * 1024 / 700];
+    batch.push_back(MakeMsg(owner->id(), i));
+    expected[owner->id().ToHex()] = owner;
+  }
+  ASSERT_EQ(expected.size(), 700u);
+  nodes_[0]->Multisend(std::move(batch), sim::MsgClass::kControl);
+  sim_.Run();
+  EXPECT_GT(network_->stats().total_hops(),
+            static_cast<uint64_t>(network_->options().max_route_hops));
+  EXPECT_EQ(network_->stats().dropped(), 0u);
+  ASSERT_EQ(app_->deliveries.size(), 700u);
+  std::set<int> tags;
+  for (const auto& d : app_->deliveries) {
+    EXPECT_EQ(d.node, expected[d.target.ToHex()]);
+    tags.insert(d.tag);
+  }
+  EXPECT_EQ(tags.size(), 700u);
+}
+
 }  // namespace
 }  // namespace contjoin::chord

@@ -9,6 +9,7 @@
 
 #include <bitset>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -227,6 +228,11 @@ class CodecRoundTripTest : public ::testing::Test {
     return std::make_shared<const query::MwQuery>(std::move(q));
   }
 
+  /// Calls `visit` on every payload of the seeded round-trip corpus: each
+  /// CqMsgType, several seeds each.
+  void ForEachCorpusPayload(
+      const std::function<void(const CqPayload&)>& visit);
+
   // -- The property ------------------------------------------------------------
 
   void ExpectRoundTrip(const CqPayload& payload) {
@@ -257,7 +263,8 @@ TEST_F(CodecRoundTripTest, EveryMsgTypeHasARegisteredCodec) {
   }
 }
 
-TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
+void CodecRoundTripTest::ForEachCorpusPayload(
+    const std::function<void(const CqPayload&)>& visit) {
   for (uint64_t seed : {1u, 7u, 424242u}) {
     Rng rng(seed);
 
@@ -267,7 +274,7 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
       p.index_side = static_cast<int>(rng.NextBelow(2));
       p.level1 = RandomString(rng);
       p.replica = static_cast<int>(rng.NextBelow(4));
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       TupleIndexPayload p(/*value_level=*/false);
@@ -275,7 +282,7 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
       p.attr_index = rng.NextBelow(3);
       p.level1 = RandomString(rng);
       p.replica = static_cast<int>(rng.NextBelow(4));
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       TupleIndexPayload p(/*value_level=*/true);
@@ -283,7 +290,7 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
       p.attr_index = rng.NextBelow(3);
       p.level1 = RandomString(rng);
       p.value_key = RandomString(rng);
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       JoinPayload p;
@@ -305,7 +312,7 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
       p.want_ack = rng.NextBelow(2) == 0;
       p.known_split = 1 << rng.NextBelow(4);
       p.split_version = rng.NextBelow(1000);
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       DaivJoinPayload p;
@@ -324,7 +331,7 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
       p.want_ack = rng.NextBelow(2) == 0;
       p.known_split = 1 << rng.NextBelow(4);
       p.split_version = rng.NextBelow(1000);
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       NotificationPayload p;
@@ -337,7 +344,7 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
       p.notification.created_at = rng.Next();
       p.subscriber_key = RandomString(rng);
       p.evaluator = RandomId(rng);
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       UnsubscribePayload p;
@@ -345,33 +352,33 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
       p.at_evaluator = rng.NextBelow(2) == 0;
       p.level1 = RandomString(rng);
       p.replica = static_cast<int>(rng.NextBelow(4));
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       IpUpdatePayload p;
       p.subscriber_key = RandomString(rng);
       p.node = RandomId(rng);
       p.ip = rng.Next();
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       JfrtAckPayload p;
       p.vindex = RandomId(rng);
       p.evaluator = RandomId(rng);
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       MigrateCmdPayload p;
       p.level1 = RandomString(rng);
       p.replica = static_cast<int>(rng.NextBelow(4));
       p.base = RandomId(rng);
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       MwQueryIndexPayload p;
       p.query = RandomMwQuery(rng);
       p.level1 = RandomString(rng);
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       MwJoinPayload p;
@@ -391,14 +398,14 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
         e.partial_key = RandomString(rng);
         p.entries.push_back(std::move(e));
       }
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       OtjScanPayload p;
       p.query = RandomQuery(rng);
       p.otj_id = rng.Next();
       p.issuer = RandomId(rng);
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       OtjRehashPayload p;
@@ -414,12 +421,12 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
         t.seq = rng.Next();
         p.entries.push_back(std::move(t));
       }
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       DeliveryAckPayload p;
       p.msg_id = rng.Next();
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       NotificationDigestPayload p;
@@ -436,14 +443,14 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
         note.created_at = rng.Next();
         p.notifications.push_back(std::move(note));
       }
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       AdaptReplicatePayload p;
       p.level1 = RandomString(rng);
       p.replicas = 1 + static_cast<int>(rng.NextBelow(4));
       p.version = rng.Next();
-      ExpectRoundTrip(p);
+      visit(p);
     }
     {
       AdaptSplitPayload p;
@@ -451,9 +458,61 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
       p.value = RandomString(rng);
       p.split = 1 << rng.NextBelow(4);
       p.version = rng.Next();
-      ExpectRoundTrip(p);
+      visit(p);
     }
   }
+}
+
+TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
+  ForEachCorpusPayload([this](const CqPayload& p) { ExpectRoundTrip(p); });
+}
+
+TEST_F(CodecRoundTripTest, EncodedFrameSizeIsTheEncodingsSizeOverTheCorpus) {
+  // The byte meter counts with the encoder instead of running it: over the
+  // whole corpus, in every frame shape a payload can travel in, the count
+  // must be the encoded length exactly.
+  std::bitset<kCqMsgTypeCount> seen;
+  Rng rng(5);
+  ForEachCorpusPayload([&](const CqPayload& payload) {
+    seen.set(static_cast<size_t>(payload.type));
+    // Non-owning handle: the corpus payload outlives this callback.
+    chord::PayloadPtr handle(std::shared_ptr<void>(), &payload);
+    chord::AppMessage msg;
+    msg.target = RandomId(rng);
+    msg.cls = sim::MsgClass::kControl;
+    msg.payload = handle;
+    msg.reliable_id = rng.Next();
+    msg.reliable_origin = RandomId(rng);
+
+    chord::HopFrame deliver;
+    deliver.kind = chord::HopFrame::Kind::kDeliver;
+    deliver.msgs.push_back(msg);
+
+    chord::HopFrame batch;
+    batch.kind = chord::HopFrame::Kind::kBatch;
+    batch.ttl = 511;
+    batch.msgs = {msg, msg};
+    batch.msgs[1].kind = chord::MsgKind::kDhtStore;
+    auto store = std::make_shared<chord::DhtStorePayload>();
+    store->key = RandomId(rng);
+    store->item = handle;
+    batch.msgs[1].payload = store;
+
+    chord::HopFrame broadcast;
+    broadcast.kind = chord::HopFrame::Kind::kBroadcast;
+    broadcast.broadcast_payload = handle;
+    broadcast.broadcast_limit = RandomId(rng);
+
+    for (const chord::HopFrame* frame : {&deliver, &batch, &broadcast}) {
+      std::vector<uint8_t> bytes = EncodeHopFrame(*frame);
+      ASSERT_FALSE(bytes.empty())
+          << "type " << static_cast<int>(payload.type);
+      EXPECT_EQ(EncodedFrameSize(*frame), bytes.size())
+          << "type " << static_cast<int>(payload.type) << ", frame kind "
+          << static_cast<int>(frame->kind);
+    }
+  });
+  EXPECT_TRUE(seen.all()) << "corpus misses a CqMsgType: " << seen;
 }
 
 TEST_F(CodecRoundTripTest, EmptyStringsAndSentinelIdsSurvive) {

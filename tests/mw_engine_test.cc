@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "core/engine.h"
@@ -179,11 +180,25 @@ TEST_F(MwEngineTest, StorageAccountsPartials) {
 
 // --- Randomized equivalence against the multi-way oracle ----------------------
 
+// gtest names each case after a byte dump of its parameter, so the
+// struct carries explicit zero fill instead of padding: indeterminate
+// padding bytes would give a case a different name on every listing.
 struct MwScenario {
-  int m;  // Number of relations.
+  MwScenario(int m, uint64_t seed, rel::Timestamp window, bool star,
+             size_t num_queries, size_t num_tuples)
+      : m(m),
+        seed(seed),
+        window(window),
+        star(star),
+        num_queries(num_queries),
+        num_tuples(num_tuples) {}
+
+  int32_t m;  // Number of relations.
+  uint8_t fill_m[4] = {};
   uint64_t seed;
   rel::Timestamp window;
   bool star;  // Star topology instead of a chain.
+  uint8_t fill_star[7] = {};
   size_t num_queries;
   size_t num_tuples;
 
@@ -194,6 +209,7 @@ struct MwScenario {
     return out;
   }
 };
+static_assert(sizeof(MwScenario) == 48, "MwScenario must have no padding");
 
 class MwEquivalenceTest : public ::testing::TestWithParam<MwScenario> {};
 
